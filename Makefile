@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test verify vet vet-self bench race fuzz-smoke clean serve-smoke trace-check parallel-check model-check e2e
+.PHONY: all build test verify vet vet-self bench race fuzz-smoke clean serve-smoke trace-check model-check e2e
 
 all: build
 
@@ -26,7 +26,7 @@ e2e:
 
 # vet runs the stock go vet suite plus the repo's own analyzers. The
 # standalone ascoma-vet invocation runs the whole-program checks first
-# (parownership, hotpathflow, dirlint — the interprocedural call-graph
+# (hotpathflow, dirlint — the interprocedural call-graph
 # engine of DESIGN.md §14, which also fails any escape hatch lacking a
 # reason), then re-execs the per-package analyzers (nondet, hotpath,
 # statsintegrity, ctxflow, errdrop) through the standard -vettool
@@ -59,17 +59,6 @@ trace-check:
 	cmp .bin/trace-ta .bin/trace-tb
 	.bin/ascoma-inspect summary .bin/trace-ta >/dev/null
 
-# parallel-check proves the parallel core's exactness end to end through
-# the real binary: the same observed run at -cores 1 and -cores 4 must
-# produce byte-identical trace files — same events, same order, same
-# cycle stamps (see DESIGN.md §11 and TestParallelGoldenIdentity for the
-# in-process counterparts).
-parallel-check:
-	$(GO) build -o .bin/ascoma-sim ./cmd/ascoma-sim
-	.bin/ascoma-sim -arch ascoma -workload radix -pressure 70 -scale 16 -cores 1 -trace .bin/trace-seq -epoch 5000 >/dev/null
-	.bin/ascoma-sim -arch ascoma -workload radix -pressure 70 -scale 16 -cores 4 -trace .bin/trace-par -epoch 5000 >/dev/null
-	cmp .bin/trace-seq .bin/trace-par
-
 # model-check validates the analytical steady-state estimator
 # (internal/estimate) against the 72-config golden matrix: every cell is
 # simulated and the relative-execution-time error must stay inside the
@@ -89,28 +78,30 @@ verify: vet vet-self
 	$(GO) test -race -short ./internal/...
 	$(MAKE) model-check
 	$(MAKE) trace-check
-	$(MAKE) parallel-check
 	$(GO) run ./cmd/ascoma-serve -smoke
 
-# bench runs the full tracked benchmark set (BENCH_PR*.json) with the exact
-# flags the before/after numbers in those files were collected with; see
-# README.md ("Benchmarking") for the benchstat workflow.
+# bench runs the per-run and per-layer Go benchmarks with the flags the
+# BENCH_PR*.json numbers were collected with. For a paired before/after
+# comparison of the end-to-end workloads, run `bash perfbench/run.sh`
+# (see perfbench/README.md and README.md, "Profiling and benchmarking").
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig2FFT$$|BenchmarkHotPath$$|BenchmarkGridRow$$' -benchtime 3x -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkHotPathTiered$$' -benchtime 3x -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkRowBuffer$$' -benchmem -count 3 ./internal/mem/
 	$(GO) test -run '^$$' -bench 'BenchmarkEstimate$$|BenchmarkEstimateProfile$$' -benchmem -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamGeneration$$' -count 3 .
-	$(GO) test -run '^$$' -bench 'BenchmarkParallelScaling|BenchmarkParallelMissBound$$' -benchtime 10x -count 3 .
 
 race:
 	$(GO) test -race ./...
 
 # fuzz-smoke runs each fuzz target briefly over its seeded corpus plus a
 # few seconds of generated inputs — a CI-sized differential check that the
-# compiled workload streams still match the interpreted reference.
+# compiled workload streams still match the interpreted reference, and
+# that the reference-trace decoder never panics on outside input and
+# round-trips everything it accepts.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompiledMatchesInterpreted -fuzztime 10s ./internal/workload
+	$(GO) test -run '^$$' -fuzz FuzzDecodeTrace -fuzztime 10s ./internal/workload
 
 clean:
 	$(GO) clean ./...

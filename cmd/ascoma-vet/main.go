@@ -17,8 +17,6 @@
 // Whole-program analyzers (run once over the module, on the
 // interprocedural call graph built by internal/analysis/program):
 //
-//	parownership    the parallel core's worker/commit goroutine state
-//	                split, proved over the transitive worker call closure
 //	hotpathflow     the hotpath allocation discipline enforced over the
 //	                transitive closure of //ascoma:hotpath roots
 //	dirlint         //ascoma: directives audited: known names only, a
@@ -42,7 +40,6 @@ import (
 	"ascoma/internal/analysis/hotpath"
 	"ascoma/internal/analysis/hotpathflow"
 	"ascoma/internal/analysis/nondet"
-	"ascoma/internal/analysis/parownership"
 	"ascoma/internal/analysis/program"
 	"ascoma/internal/analysis/statsintegrity"
 	"ascoma/internal/analysis/unit"
@@ -58,7 +55,6 @@ func main() {
 			errdrop.Analyzer,
 		},
 		[]*program.Analyzer{
-			parownership.Analyzer,
 			hotpathflow.Analyzer,
 			dirlint.Analyzer,
 		},

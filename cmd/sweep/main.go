@@ -55,7 +55,6 @@ var (
 	sensitivity = flag.String("sensitivity", "", "run a design-choice sensitivity study: 'threshold', 'rac', or 'nodes'")
 	svgDir      = flag.String("svg", "", "also write the figures as SVG files into this directory")
 	jobs        = flag.Int("jobs", runtime.NumCPU(), "parallel simulations")
-	cores       = flag.Int("cores", 1, "worker threads inside each run (results are bit-identical at any count)")
 	cacheDir    = flag.String("cachedir", "", "persist simulation results in this directory and reuse them across invocations")
 	screen      = flag.Bool("screen", false, "estimator screening: skip grid cells the analytical model certifies pressure-equivalent (output stays byte-identical)")
 	cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -136,7 +135,7 @@ func main() {
 		}()
 	}
 	runner := &runcache.Runner{Cache: cache, Jobs: *jobs}
-	opts := report.Options{Scale: *scale, Pressures: plist, Jobs: *jobs, Runner: runner, Cores: *cores,
+	opts := report.Options{Scale: *scale, Pressures: plist, Jobs: *jobs, Runner: runner,
 		Screen: *screen, ScreenStats: sstats, Tiers: tierSpecs, PagePolicy: *pagePolicy}
 	if *screen {
 		opts.ScreenLog = func(app string, simulated, skipped int) {
@@ -167,7 +166,7 @@ func main() {
 		if *app == "" {
 			fail(fmt.Errorf("sweep: -trace requires -app"))
 		}
-		run(recordTrace(ctx, runner, *app, plist, *scale, *cores, *trace, *epoch))
+		run(recordTrace(ctx, runner, *app, plist, *scale, *trace, *epoch))
 	}
 
 	switch *table {
@@ -224,7 +223,7 @@ func main() {
 // flight recorder attached and writes the binary trace. Observed runs
 // bypass the result cache (the simulation must actually execute to fill
 // the recording), so this costs one extra simulation even on a warm cache.
-func recordTrace(ctx context.Context, runner *runcache.Runner, app string, pressures []int, scale, cores int, path string, epoch int64) error {
+func recordTrace(ctx context.Context, runner *runcache.Runner, app string, pressures []int, scale int, path string, epoch int64) error {
 	rec := ascoma.NewRecording(0, epoch)
 	p := slices.Max(pressures)
 	if _, err := runner.Run(ctx, ascoma.Config{
@@ -233,7 +232,6 @@ func recordTrace(ctx context.Context, runner *runcache.Runner, app string, press
 		Pressure: p,
 		Scale:    scale,
 		Obs:      rec,
-		Cores:    cores,
 	}); err != nil {
 		return err
 	}

@@ -1,11 +1,10 @@
 // Package program loads every package of the repository in one shot and
 // builds the interprocedural facts — a call graph with static, interface,
 // and func-value edges, plus a program-wide directive index — that the
-// whole-repo analyzers (parownership, hotpathflow, dirlint) consume. The
-// per-package unit checker cannot see across compilation units, so the
-// invariants that live in call chains (which goroutine may reach which
-// state, whether a //ascoma:hotpath root transitively allocates) are proved
-// here instead.
+// whole-repo analyzers (hotpathflow, dirlint) consume. The per-package
+// unit checker cannot see across compilation units, so the invariants that
+// live in call chains (whether a //ascoma:hotpath root transitively
+// allocates) are proved here instead.
 //
 // Loading reuses the srcimporter harness the analysistest corpora already
 // depend on: repo packages are parsed from source, topologically sorted by
@@ -54,13 +53,6 @@ type Program struct {
 	namedTypes []*types.TypeName
 
 	directives map[lineKey][]analysis.Directive
-	typeDirs   []TypeDirective
-}
-
-// A TypeDirective is a //ascoma: directive attached to a type declaration.
-type TypeDirective struct {
-	Obj *types.TypeName
-	Dir analysis.Directive
 }
 
 type lineKey struct {
@@ -318,35 +310,6 @@ func (p *Program) indexDirectives() {
 			}
 		}
 	}
-	// Type-level directives: a doc comment on the TypeSpec, or on a
-	// single-spec GenDecl.
-	for _, pkg := range p.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.TYPE {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					doc := ts.Doc
-					if doc == nil && len(gd.Specs) == 1 {
-						doc = gd.Doc
-					}
-					obj, _ := pkg.Info.Defs[ts.Name].(*types.TypeName)
-					if obj == nil {
-						continue
-					}
-					for _, d := range analysis.DeclDirectives(doc) {
-						p.typeDirs = append(p.typeDirs, TypeDirective{Obj: obj, Dir: d})
-					}
-				}
-			}
-		}
-	}
 }
 
 // indexNamedTypes collects every named type declared in the program, in
@@ -378,18 +341,6 @@ func (p *Program) Allowed(pos token.Pos, hatch string) bool {
 	return false
 }
 
-// TypesWithDirective returns the type-level directives with the given name,
-// in declaration order.
-func (p *Program) TypesWithDirective(name string) []TypeDirective {
-	var out []TypeDirective
-	for _, td := range p.typeDirs {
-		if td.Dir.Name == name {
-			out = append(out, td)
-		}
-	}
-	return out
-}
-
 // FuncsWithDirective returns the declared functions annotated with the
 // given directive, in program order.
 func (p *Program) FuncsWithDirective(name string) []*Func {
@@ -405,14 +356,6 @@ func (p *Program) FuncsWithDirective(name string) []*Func {
 // Funcs returns every function and function literal in the program, in
 // deterministic program order.
 func (p *Program) Funcs() []*Func { return p.funcs }
-
-// FuncOf returns the graph node for a declared function or method, or nil.
-func (p *Program) FuncOf(obj *types.Func) *Func {
-	if obj == nil {
-		return nil
-	}
-	return p.funcByObj[obj.Origin()]
-}
 
 type importerFunc func(path string) (*types.Package, error)
 

@@ -94,22 +94,27 @@ func TestReachabilityAndPath(t *testing.T) {
 	}
 }
 
-// TestWorkerThunkReachability checks the production-shaped pattern end to
-// end on the parown corpus: the closure handed to the queue at
-// construction is worker-reachable through the func-typed field.
+// TestWorkerThunkReachability checks flow through a constructor argument:
+// the closure handed to the queue at construction is reachable from the
+// queue's loop through the func-typed field it was stored in.
 func TestWorkerThunkReachability(t *testing.T) {
-	prog := loadFixture(t, "../testdata/src/parown", "parown")
-	roots := prog.FuncsWithDirective("par-worker")
+	prog := loadFixture(t, "../testdata/src/progthunk", "progthunk")
+	roots := prog.FuncsWithDirective("hotpath")
 
 	reach := prog.Reachable(roots, func(program.Edge) bool { return false })
 	var thunk *program.Func
+	names := make(map[string]bool)
 	for _, f := range reach.Funcs {
+		names[f.Name()] = true
 		if strings.Contains(f.Name(), "build·func") {
 			thunk = f
 		}
 	}
 	if thunk == nil {
-		t.Fatal("worker closure from build() not reachable from the par-worker roots")
+		t.Fatal("closure from build() not reachable from the queue's loop")
+	}
+	if !names["progthunk.work"] {
+		t.Error("work is called by the closure but not reachable from the loop")
 	}
 	path := reach.Path(thunk)
 	if !strings.Contains(path, "loop") {

@@ -20,12 +20,3 @@ func reasonless() {}
 
 //ascoma:allow-alloc the buffer is reused across calls
 func justified() {}
-
-/* want `par-commit-state takes no argument or "reads-ok"` */ //ascoma:par-commit-state maybe-later
-type badArg struct{}
-
-//ascoma:par-commit-state reads-ok
-type goodArg struct{}
-
-//ascoma:par-commit-state
-type strictState struct{}

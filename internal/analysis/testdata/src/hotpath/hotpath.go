@@ -47,9 +47,10 @@ type scanSeg struct {
 	hits   int64
 }
 
-// commitScan stands in for the parallel core's worker merge path: the
-// commit loop applies a worker's staged segments to the live totals once
-// per quantum, so it must not allocate.
+// commitScan folds per-phase counter segments into running totals once per
+// quantum, so it must not allocate. The integer += lines are plain
+// arithmetic and must not be mistaken for string concatenation; only the
+// append is a finding.
 //
 //ascoma:hotpath
 func commitScan(totals *scanSeg, segs []scanSeg, log []int64) []int64 {
@@ -61,8 +62,8 @@ func commitScan(totals *scanSeg, segs []scanSeg, log []int64) []int64 {
 	return log
 }
 
-// stageScan is the correct shape: workers stage into a fixed-size array
-// owned by the entry, so the merge is pure arithmetic on preallocated
+// stageScan is the correct shape: the segments live in a fixed-size array
+// owned by the caller, so the fold is pure arithmetic on preallocated
 // storage.
 //
 //ascoma:hotpath

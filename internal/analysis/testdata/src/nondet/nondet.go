@@ -61,20 +61,18 @@ func mapOrderBareHatch(m map[string]int64) int64 {
 	return total
 }
 
-// scanResult stands in for one worker's lookahead scan output in the
-// parallel core: per-node deltas that the commit goroutine merges into the
-// global statistics in node order.
+// scanResult stands in for one node's per-phase output: deltas that a
+// caller merges into the global statistics in node order.
 type scanResult struct {
 	node   int
 	cycles int64
 	hits   int64
 }
 
-// mergeByMap is the worker merge path done wrong: collecting per-worker
-// results into a map and folding them in iteration order. Even though the
-// sums commute, the temptation generalizes to non-commutative merges (last
-// write wins, first error reported), so the analyzer flags the range
-// itself.
+// mergeByMap is the merge done wrong: collecting per-node results into a
+// map and folding them in iteration order. Even though the sums commute,
+// the temptation generalizes to non-commutative merges (last write wins,
+// first error reported), so the analyzer flags the range itself.
 func mergeByMap(results map[int]scanResult) (cycles int64) {
 	for _, r := range results { // want `map iteration order is randomized`
 		cycles += r.cycles
@@ -83,8 +81,8 @@ func mergeByMap(results map[int]scanResult) (cycles int64) {
 }
 
 // mergeByNode is the required shape: results land in a slice indexed by
-// node id and the commit loop walks it in ascending node order, so the
-// merge is identical no matter which worker produced which entry.
+// node id and the merge walks it in ascending node order, so the result
+// does not depend on the order in which entries were produced.
 func mergeByNode(results []scanResult) (cycles, hits int64) {
 	for _, r := range results { // slice order == node order: ok
 		cycles += r.cycles

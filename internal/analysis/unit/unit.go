@@ -10,7 +10,7 @@
 //	           dependency — so type-checking here is exact and fast)
 //
 // Invoked any other way, the driver first runs the whole-program analyzers
-// (parownership, hotpathflow, dirlint — they need every package and the
+// (hotpathflow, dirlint — they need every package and the
 // call graph at once, which the per-unit protocol cannot provide) over the
 // enclosing module, then re-executes itself through the go command
 // (`go vet -vettool=<self> <packages>`) for the per-package analyzers,

@@ -52,7 +52,6 @@ func (c *L1) index(l addr.Line) int { return int(uint64(l) & c.mask) }
 // Probed once per reference — both the step loop and fast-forward call it.
 //
 //ascoma:hotpath
-//ascoma:par-commit
 func (c *L1) Lookup(l addr.Line, write bool) bool {
 	s := &c.lines[c.index(l)]
 	if s.valid && s.tag == l && (!write || s.writable) {
@@ -62,18 +61,6 @@ func (c *L1) Lookup(l addr.Line, write bool) bool {
 		return true
 	}
 	return false
-}
-
-// Probe is Lookup's read-only twin: the same hit predicate with no side
-// effect at all. The parallel core's lookahead scan (see
-// internal/machine/parallel.go) probes against a snapshot of the cache from
-// worker goroutines, deferring the write path's dirty marking to the
-// sequential commit, which replays it through Lookup.
-//
-//ascoma:hotpath
-func (c *L1) Probe(l addr.Line, write bool) bool {
-	s := &c.lines[c.index(l)]
-	return s.valid && s.tag == l && (!write || s.writable)
 }
 
 // Insert fills line l, evicting whatever occupied its set. Write fills are
@@ -131,35 +118,16 @@ func (c *L1) FlushPage(p addr.Page) (flushed, dirty int) {
 
 // CleanBlock downgrades block b's lines to clean read-only copies: used
 // when a dirty owner supplies a block to a reader (three-hop forwarding
-// downgrades the owner to a sharer, which loses write permission). Returns
-// the number of lines whose state actually changed, so callers can tell a
-// real downgrade from a no-op on an L1 that had already evicted the block.
-func (c *L1) CleanBlock(b addr.Block) int {
-	n := 0
+// downgrades the owner to a sharer, which loses write permission).
+func (c *L1) CleanBlock(b addr.Block) {
 	for j := 0; j < params.LinesPerBlock; j++ {
 		l := b.LineAt(j)
 		s := &c.lines[c.index(l)]
-		if s.valid && s.tag == l && (s.dirty || s.writable) {
+		if s.valid && s.tag == l {
 			s.dirty = false
 			s.writable = false
-			n++
 		}
 	}
-	return n
-}
-
-// SnapshotInto copies the cache's full state into dst, an L1 used only as
-// a Probe target. The parallel core snapshots a node's L1 at arming time so
-// lookahead scans on worker goroutines probe a stable private copy while
-// the commit goroutine keeps mutating the live cache; generation validation
-// at commit (machine.node.invGen) catches any mutation that would have
-// changed what the scan saw. dst retains its lines buffer across calls, so
-// steady-state snapshots are a single bulk copy with no allocation.
-func (c *L1) SnapshotInto(dst *L1) {
-	dst.sets = c.sets
-	dst.mask = c.mask
-	//ascoma:allow-alloc dst retains its lines capacity across snapshots; steady state is a bulk copy
-	dst.lines = append(dst.lines[:0], c.lines...)
 }
 
 // Reset invalidates the whole cache.

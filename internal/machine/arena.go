@@ -103,7 +103,6 @@ func (m *Machine) recycle(sh shape, p *params.Params) {
 		nd.dir.Reset()
 		nd.blocked = 0
 		nd.arriveTime = 0
-		nd.invGen = 0
 		nd.prevRowConf = 0
 	}
 	m.dir.Reset(sh.homeLimit, p.RefetchThreshold)
@@ -145,10 +144,6 @@ func (m *Machine) Release() {
 	}
 	m.gen = nil
 	m.net = nil
-	// The parallel core is torn down when RunContext's parallel branch
-	// exits; drop the pointer so a pooled machine can never observe a
-	// previous run's core.
-	m.par = nil
 	m.st = nil
 	m.samples = nil
 	m.checker = nil

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ascoma/internal/addr"
+	"ascoma/internal/mem"
 	"ascoma/internal/params"
 	"ascoma/internal/workload"
 )
@@ -35,26 +36,60 @@ func TestCoherenceCheckerPassesAllArchitectures(t *testing.T) {
 
 // TestCoherenceCheckerPassesApplications runs the six paper applications
 // at small scale under the checker on the architectures that stress page
-// remapping hardest.
+// remapping hardest, on flat memory and on two asymmetric tier layouts
+// under each row-buffer page policy. The 30% fast tier fills with home
+// pages, so no page ever changes tier; the 90% one leaves the fast tier
+// headroom above the home set, which puts the pageout daemon's demote and
+// promote flows under the checker.
 func TestCoherenceCheckerPassesApplications(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
+	type memory struct {
+		name   string
+		tiers  []mem.TierSpec
+		policy mem.Policy
+	}
+	mems := []memory{{name: "flat"}}
+	for _, layout := range []string{"30:40:60,70:120:300", "90:40:60,10:120:300"} {
+		tiers, err := mem.ParseTiers(layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"open", "closed", "hybrid"} {
+			pol, err := mem.ParsePolicy(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mems = append(mems, memory{layout + "/" + name, tiers, pol})
+		}
+	}
+	var promotes, demotes int64
 	for _, app := range []string{"barnes", "em3d", "fft", "lu", "ocean", "radix"} {
 		for _, arch := range []params.Arch{params.SCOMA, params.RNUMA, params.ASCOMA} {
-			gen, err := workload.New(app, 16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := New(Config{Arch: arch, Pressure: 80, CheckCoherence: true}, gen)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := m.Run(); err != nil {
-				t.Errorf("%s/%v: %v", app, arch, err)
+			for _, mm := range mems {
+				gen, err := workload.New(app, 16)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := New(Config{Arch: arch, Pressure: 80, CheckCoherence: true,
+					Tiers: mm.tiers, PagePolicy: mm.policy}, gen)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := m.Run(); err != nil {
+					t.Errorf("%s/%v/%s: %v", app, arch, mm.name, err)
+				}
+				p, d := m.DebugTierStats()
+				promotes += p
+				demotes += d
 			}
 		}
 	}
+	if promotes == 0 || demotes == 0 {
+		t.Errorf("tiered runs never moved a page (promotes=%d demotes=%d): the checker saw no tier traffic", promotes, demotes)
+	}
+	t.Logf("checked %d promotions and %d demotions", promotes, demotes)
 }
 
 // TestCheckerDetectsViolations feeds the checker a deliberate stale hit to

@@ -54,14 +54,6 @@ type Config struct {
 	// standard policy for Arch). Used by the ablation benchmarks to run
 	// AS-COMA variants.
 	PolicyFactory func(arch params.Arch, p *params.Params) core.Policy
-	// Cores is the number of worker threads driving the event loop (see
-	// internal/machine/parallel.go). Values < 2 — and any run with the
-	// coherence checker attached or a single-node workload — use the
-	// sequential loop. Results are bit-identical at every value: the
-	// parallel core only precomputes node-local work and commits it in the
-	// sequential dispatch order, so Cores is a host-performance knob, never
-	// a simulation parameter.
-	Cores int
 	// CheckCoherence enables the version-shadowing coherence checker:
 	// every locally satisfied access is validated against the block's
 	// current write version, and Run fails on any stale hit. Costs about
@@ -95,8 +87,6 @@ type Sample struct {
 // touches the scheduling flags, the chunk window, and the stats pointer on
 // every event, so they share the node's leading cache lines; the ~1 KB TLB
 // array sits last.
-//
-//ascoma:par-commit-state
 type node struct {
 	// blocked is the node's scheduling state as a bitmask (see ndDone etc.):
 	// runNode's entry check — taken once per event — tests one byte instead
@@ -109,14 +99,6 @@ type node struct {
 	// probe is exact whenever it runs, so skipping it cannot change results.
 	ffSkip    int32
 	ffBackoff int32
-
-	// invGen counts cross-node mutations of this node's L1 (invalidation
-	// and downgrade callbacks, the home bus snoop, migration flushes). The
-	// parallel core captures it when arming a lookahead scan and discards
-	// the precompute if it moved by commit time (see parallel.go). The
-	// node's own dispatches never need to bump it: self-mutations only
-	// happen in inline code that runs after the node's last armed segment.
-	invGen uint32
 
 	nextDaemon int64
 	id         int
@@ -173,8 +155,6 @@ func (nd *node) refillWindow() []workload.Ref {
 }
 
 // Machine is one configured simulation.
-//
-//ascoma:par-commit-state reads-ok
 type Machine struct {
 	cfg   Config
 	p     *params.Params
@@ -191,10 +171,6 @@ type Machine struct {
 	maxCycles  int64
 	sampleIntv int64
 	epochIntv  int64
-
-	// par is the parallel simulation core, non-nil only while RunContext's
-	// parallel branch is driving the run (see parallel.go).
-	par *parCore
 
 	// Observability instruments (nil when Config.Obs is unset). rec is
 	// shared with the per-node VMs and the directory, which emit through
@@ -376,7 +352,6 @@ func New(cfg Config, gen workload.Generator) (*Machine, error) {
 		nd.chunks, _ = nd.stream.(workload.Chunked)
 		nd.pend, nd.pendPos = nil, 0
 		nd.ffSkip, nd.ffBackoff = 0, 0
-		nd.invGen = 0
 	}
 	m.active = n
 	if cfg.CheckCoherence {
@@ -476,13 +451,7 @@ func (m *Machine) releaseLock(nd *node, id addr.GVA, now int64) (int64, error) {
 // invalidation round-trip for the in-flight directory operation.
 func (m *Machine) onInvalidate(nodeID int, b addr.Block) {
 	nd := m.nodes[nodeID]
-	// Bump the generation only when the L1 actually lost lines: the copyset
-	// tracks RAC and S-COMA caching too, so the tiny L1 has usually evicted
-	// the block long before an invalidation arrives, and an untouched L1
-	// leaves every armed lookahead probe valid (see parallel.go).
-	if nd.l1.InvalidateBlock(b) > 0 {
-		nd.invGen++
-	}
+	nd.l1.InvalidateBlock(b)
 	nd.rac.InvalidateBlock(b)
 	if pte := nd.vmm.PageOfBlock(b); pte != nil && pte.Mode == vm.ModeSCOMA {
 		pte.ClearBlockValid(b.Index())
@@ -505,11 +474,7 @@ func (m *Machine) onWriteback(nodeID int, b addr.Block, invalidate bool) {
 		return
 	}
 	nd := m.nodes[nodeID]
-	// As in onInvalidate: only a real downgrade of live L1 lines can
-	// perturb an armed lookahead probe.
-	if nd.l1.CleanBlock(b) > 0 {
-		nd.invGen++
-	}
+	nd.l1.CleanBlock(b)
 	nd.rac.ClearOwned(b)
 	if pte := nd.vmm.PageOfBlock(b); pte != nil && pte.Mode == vm.ModeSCOMA {
 		pte.ClearBlockOwned(b.Index())
@@ -539,18 +504,7 @@ func (m *Machine) RunContext(ctx context.Context) (*stats.Machine, error) {
 	for i := range m.nodes {
 		m.q.Push(sim.Event{Time: 0, Kind: sim.EvProc, Node: int32(i)})
 	}
-	if m.cfg.Cores > 1 && m.checker == nil && len(m.nodes) > 1 {
-		// The parallel core: identical pop order, poll cadence, and abort
-		// semantics, with node-local work precomputed between dispatches
-		// (see parallel.go). The coherence checker needs its per-hit hooks
-		// on live state, so a checked run stays sequential — exactly as it
-		// already forces the interpretive path over fast-forward.
-		m.startPar(m.cfg.Cores)
-		m.runLoopParallel(ctx)
-		m.stopPar()
-	} else {
-		m.runLoop(ctx)
-	}
+	m.runLoop(ctx)
 	if m.aborted != nil {
 		return nil, m.aborted
 	}
@@ -566,7 +520,7 @@ func (m *Machine) RunContext(ctx context.Context) (*stats.Machine, error) {
 	return m.st, nil
 }
 
-// runLoop is the sequential event loop: pop, poll, bound, dispatch.
+// runLoop is the event loop: pop, poll, bound, dispatch.
 func (m *Machine) runLoop(ctx context.Context) {
 	poll := 0
 	for m.aborted == nil {
@@ -605,13 +559,6 @@ func (m *Machine) runNode(nd *node, now int64) {
 		m.takeEpoch(now)
 	}
 	deadline := now + m.quantum
-	if m.par != nil {
-		// Consume this dispatch's precomputed fast-forward segment, if one
-		// is armed and still valid (see parallel.go). A full segment lands
-		// at or past the deadline and the loop below just reschedules; a
-		// partial one resumes inline from the exact stopping state.
-		now = m.par.apply(nd, now)
-	}
 	for now < deadline {
 		if now >= nd.nextDaemon {
 			now += m.runDaemon(nd, now)
@@ -999,14 +946,12 @@ func (m *Machine) remoteFetch(nd *node, pte *vm.PTE, b addr.Block, write, haveDa
 	// bus: granting ownership remotely purges the home's copy, and
 	// supplying a read downgrades it to read-only.
 	if write {
-		if m.nodes[home].l1.InvalidateBlock(b) > 0 {
-			m.nodes[home].invGen++
-		}
+		m.nodes[home].l1.InvalidateBlock(b)
 		if m.checker != nil {
 			m.checker.onInvalidate(home, b)
 		}
-	} else if m.nodes[home].l1.CleanBlock(b) > 0 {
-		m.nodes[home].invGen++
+	} else {
+		m.nodes[home].l1.CleanBlock(b)
 	}
 
 	if res.Forwarded {
@@ -1230,9 +1175,7 @@ func (m *Machine) migrate(nd *node, mig core.Migrator, pte *vm.PTE, now int64) i
 
 	// The old home's processor cache held its own home data untracked by
 	// any copyset; flush it explicitly and free the physical page.
-	if flushed, _ := m.nodes[oldHome].l1.FlushPage(page); flushed > 0 {
-		m.nodes[oldHome].invGen++
-	}
+	m.nodes[oldHome].l1.FlushPage(page)
 	m.nodes[oldHome].rac.FlushPage(page)
 	var oldTier uint8
 	if opte := m.nodes[oldHome].vmm.Lookup(page); opte != nil {

@@ -39,11 +39,6 @@ type Options struct {
 	// bounded by Jobs). Passing a shared Runner lets callers reuse its
 	// result cache across figures, tables, and server requests.
 	Runner *runcache.Runner
-	// Cores is the per-run worker count (ascoma.Config.Cores): values < 2
-	// leave every simulation on the sequential event loop. Results are
-	// bit-identical at any core count, so Cores composes freely with Jobs
-	// and never splits the result cache.
-	Cores int
 	// Screen enables estimator screening for figure grids: the
 	// analytical model (internal/estimate) certifies pressure-equivalent
 	// cells, one representative per class simulates, and the rest reuse
@@ -219,7 +214,7 @@ func runGrid(ctx context.Context, app string, o Options) (map[runKey]*ascoma.Res
 		g.go_(func() error {
 			res, err := o.Runner.Run(ctx, ascoma.Config{
 				Arch: k.arch, Workload: app, Pressure: k.pressure, Scale: o.Scale,
-				Cores: o.Cores, Tiers: o.Tiers, PagePolicy: o.PagePolicy,
+				Tiers: o.Tiers, PagePolicy: o.PagePolicy,
 			})
 			if err != nil {
 				return fmt.Errorf("%s %v(%d%%): %w", app, k.arch, k.pressure, err)
@@ -344,7 +339,7 @@ func Table5(ctx context.Context, w io.Writer, apps []string, o Options) error {
 			if err != nil {
 				return err
 			}
-			res, err := o.Runner.Run(ctx, ascoma.Config{Arch: ascoma.SCOMA, Workload: a, Pressure: 5, Scale: o.Scale, Cores: o.Cores})
+			res, err := o.Runner.Run(ctx, ascoma.Config{Arch: ascoma.SCOMA, Workload: a, Pressure: 5, Scale: o.Scale})
 			if err != nil {
 				return fmt.Errorf("table 5 %s: %w", a, err)
 			}
@@ -379,7 +374,7 @@ func Table6(ctx context.Context, w io.Writer, apps []string, o Options) error {
 	for i, a := range apps {
 		i, a := i, a
 		g.go_(func() error {
-			res, err := o.Runner.Run(ctx, ascoma.Config{Arch: ascoma.CCNUMA, Workload: a, Pressure: 10, Scale: o.Scale, Cores: o.Cores})
+			res, err := o.Runner.Run(ctx, ascoma.Config{Arch: ascoma.CCNUMA, Workload: a, Pressure: 10, Scale: o.Scale})
 			if err != nil {
 				return fmt.Errorf("table 6 %s: %w", a, err)
 			}

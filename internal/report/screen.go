@@ -154,7 +154,6 @@ func runGridScreened(ctx context.Context, app string, o Options, plan *screenPla
 			g.go_(func() error {
 				res, err := o.Runner.Run(ctx, ascoma.Config{
 					Arch: k.arch, Workload: app, Pressure: k.pressure, Scale: o.Scale,
-					Cores: o.Cores,
 				})
 				if err != nil {
 					return fmt.Errorf("%s %v(%d%%): %w", app, k.arch, k.pressure, err)

@@ -102,7 +102,7 @@ func TierGrid(ctx context.Context, w io.Writer, app string, shares, asyms []int,
 	for _, c := range cells {
 		c := c
 		g.go_(func() error {
-			cfg := ascoma.Config{Arch: c.arch, Workload: app, Pressure: c.pressure, Scale: o.Scale, Cores: o.Cores}
+			cfg := ascoma.Config{Arch: c.arch, Workload: app, Pressure: c.pressure, Scale: o.Scale}
 			if c.share > 0 {
 				cfg.Tiers = TierSpecsFor(c.share, c.asym)
 				cfg.PagePolicy = pol

@@ -41,8 +41,6 @@ type Config struct {
 	Cache *runcache.Cache
 	// Jobs bounds concurrent simulations (< 1 = NumCPU).
 	Jobs int
-	// Cores is the per-simulation worker count (see ascoma.Config.Cores).
-	Cores int
 	// Timeout bounds each synchronous request's simulation work.
 	Timeout time.Duration
 	// Pprof exposes net/http/pprof under /debug/pprof/ when set.
@@ -61,7 +59,6 @@ type Server struct {
 	cache   *runcache.Cache
 	mgr     *jobs.Manager
 	timeout time.Duration
-	cores   int
 	pprofOn bool
 
 	reg        *obs.Registry
@@ -76,15 +73,12 @@ type Server struct {
 // New builds a Server over cfg.
 func New(cfg Config) *Server {
 	runner := &runcache.Runner{Cache: cfg.Cache, Jobs: cfg.Jobs}
-	jo := cfg.JobOpts
-	jo.Cores = cfg.Cores
 	reg := obs.NewRegistry()
 	s := &Server{
 		runner:  runner,
 		cache:   cfg.Cache,
-		mgr:     jobs.NewManager(runner, jo),
+		mgr:     jobs.NewManager(runner, cfg.JobOpts),
 		timeout: cfg.Timeout,
-		cores:   cfg.Cores,
 		pprofOn: cfg.Pprof,
 		reg:     reg,
 		archRuns: reg.NewCounterVec("ascoma_requests_total",
@@ -212,7 +206,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "epochInterval requires the async jobs endpoint (POST /api/v1/jobs)", http.StatusBadRequest)
 		return
 	}
-	cfg, err := spec.Config(s.cores)
+	cfg, err := spec.Config()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -288,7 +282,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		}
 		fig.Pressures = plist
 	}
-	opts, err := fig.ReportOptions(s.runner, s.cores)
+	opts, err := fig.ReportOptions(s.runner)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

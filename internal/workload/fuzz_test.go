@@ -1,6 +1,11 @@
 package workload
 
 import (
+	"bytes"
+	"maps"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"ascoma/internal/addr"
@@ -71,5 +76,65 @@ func FuzzCompiledMatchesInterpreted(f *testing.F) {
 		p.Barrier(1)
 		p.ScatterRuns(addr.SharedBase, bytes, stride, count, 7, 2, 1, seed^0xdeadbeef)
 		drainMatch(t, "raw", p)
+	})
+}
+
+// FuzzDecodeTrace feeds the reference-trace decoder arbitrary bytes. Decode
+// must never panic; every node section of a trace it accepts must hold
+// exactly the reference count its node line declares; and every accepted
+// trace must survive an Encode→Decode round trip unchanged.
+func FuzzDecodeTrace(f *testing.F) {
+	for _, c := range untrustedCountInputs {
+		f.Add([]byte(c.in))
+	}
+	valid := &Trace{
+		TraceName: "seed", NumNodes: 2, HomePages: 1, PrivPages: 1,
+		Placement: map[addr.Page]int{addr.PageOf(addr.SharedBase): 1},
+		Refs: [][]Ref{
+			{{Addr: addr.SharedBase, Op: Read, Think: 3}, {Addr: 1, Op: Lock}, {Addr: 1, Op: Unlock}},
+			{{Addr: addr.SharedBase + 32, Op: Write, Think: -1}, {Addr: 1, Op: Barrier}},
+		},
+	}
+	var buf bytes.Buffer
+	if err := valid.Encode(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, in []byte) {
+		tr, err := Decode(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		for _, line := range strings.Split(string(in), "\n") {
+			f := strings.Fields(line)
+			if len(f) != 3 || f[0] != "node" {
+				continue
+			}
+			n, nerr := strconv.Atoi(f[1])
+			count, cerr := strconv.Atoi(f[2])
+			if nerr == nil && cerr == nil && n >= 0 && n < len(tr.Refs) && len(tr.Refs[n]) != count {
+				t.Fatalf("node %d declares %d refs, decoded %d", n, count, len(tr.Refs[n]))
+			}
+		}
+		var enc bytes.Buffer
+		if err := tr.Encode(&enc); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Decode(&enc)
+		if err != nil {
+			t.Fatalf("re-decoding an accepted trace: %v\n%s", err, enc.Bytes())
+		}
+		if back.TraceName != tr.TraceName || back.NumNodes != tr.NumNodes ||
+			back.HomePages != tr.HomePages || back.PrivPages != tr.PrivPages {
+			t.Fatalf("header changed: %+v -> %+v", *tr, *back)
+		}
+		if !maps.Equal(back.Placement, tr.Placement) {
+			t.Fatalf("placement changed: %v -> %v", tr.Placement, back.Placement)
+		}
+		for n := range tr.Refs {
+			if !slices.Equal(back.Refs[n], tr.Refs[n]) {
+				t.Fatalf("node %d refs changed: %v -> %v", n, tr.Refs[n], back.Refs[n])
+			}
+		}
 	})
 }

@@ -248,11 +248,8 @@ func (m *Mismatch) Stream(node int) Stream { return m.progs[node].Stream() }
 // communication-heavy phases, so none of the existing generators exercises
 // the opposite regime — the L1-hit-dominated stretches where an
 // execution-driven simulator spends its host time in reference
-// interpretation rather than event processing. That regime is exactly what
-// the parallel simulation core's epoch-window lookahead accelerates (see
-// internal/machine/parallel.go), making this the scaling benchmark's
-// workload; it also pins down the fast-forward path's statistics under a
-// near-100% hit rate.
+// interpretation rather than event processing. It pins down the
+// fast-forward path's statistics under a near-100% hit rate.
 type Resident struct {
 	nodes  int
 	pages  int // shared section pages per node
@@ -265,13 +262,9 @@ type Resident struct {
 
 // NewResident builds the generator at the given scale divisor on the
 // paper's 16-node machine.
-func NewResident(scale int) Generator { return NewResidentN(16, scale) }
-
-// NewResidentN is NewResident with an explicit node count, for host-core
-// scaling studies.
-func NewResidentN(nodes, scale int) Generator {
+func NewResident(scale int) Generator {
 	r := &Resident{
-		nodes:  nodes,
+		nodes:  16,
 		pages:  4,
 		iters:  scaled(64, scale, 8),
 		passes: 16,

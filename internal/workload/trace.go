@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 
 	"ascoma/internal/addr"
 )
@@ -125,7 +126,10 @@ func (t *Trace) Encode(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Decode parses a trace written by Encode.
+// Decode parses a trace written by Encode. It reads outside input, so it
+// trusts no count the input declares: a node section's reference count is
+// only checked against the references actually present, never used to
+// size an allocation, and a section that ends short of it is an error.
 func Decode(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	t := &Trace{Placement: make(map[addr.Page]int)}
@@ -138,11 +142,23 @@ func Decode(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("workload: trace node count %d out of range", t.NumNodes)
 	}
 	t.Refs = make([][]Ref, t.NumNodes)
+	seen := make([]bool, t.NumNodes)
 	cur := -1
 	remaining := 0
+	// endSection rejects a node section that ended before its declared
+	// reference count.
+	endSection := func() error {
+		if remaining > 0 {
+			return fmt.Errorf("workload: node %d section ends %d refs short of its declared count", cur, remaining)
+		}
+		return nil
+	}
 	for {
 		prefix, err := br.ReadString(' ')
 		if err == io.EOF {
+			if strings.TrimSpace(prefix) != "" {
+				return nil, fmt.Errorf("workload: truncated trace line %q", prefix)
+			}
 			break
 		}
 		if err != nil {
@@ -160,6 +176,9 @@ func Decode(r io.Reader) (*Trace, error) {
 			}
 			t.Placement[addr.Page(pg)] = home
 		case "node ":
+			if err := endSection(); err != nil {
+				return nil, err
+			}
 			var count int
 			if _, err := fmt.Fscanf(br, "%d %d\n", &cur, &count); err != nil {
 				return nil, fmt.Errorf("workload: bad node line: %w", err)
@@ -167,7 +186,13 @@ func Decode(r io.Reader) (*Trace, error) {
 			if cur < 0 || cur >= t.NumNodes {
 				return nil, fmt.Errorf("workload: node %d out of range", cur)
 			}
-			t.Refs[cur] = make([]Ref, 0, count)
+			if count < 0 {
+				return nil, fmt.Errorf("workload: node %d declares negative ref count %d", cur, count)
+			}
+			if seen[cur] {
+				return nil, fmt.Errorf("workload: node %d section appears twice", cur)
+			}
+			seen[cur] = true
 			remaining = count
 		case "r ", "w ", "b ", "l ", "u ":
 			if cur < 0 || remaining == 0 {
@@ -194,6 +219,9 @@ func Decode(r io.Reader) (*Trace, error) {
 		default:
 			return nil, fmt.Errorf("workload: unknown trace line prefix %q", prefix)
 		}
+	}
+	if err := endSection(); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -88,11 +88,33 @@ func TestDecodeErrors(t *testing.T) {
 		"node range":      "trace 2 1 1 x\nnode 9 1\n",
 		"unknown prefix":  "trace 2 1 1 x\nzz 1 2\n",
 		"truncated place": "trace 2 1 1 x\nplace zilch\n",
+		"duplicate node":  "trace 2 1 1 x\nnode 0 0\nnode 0 0\n",
+		"truncated line":  "trace 2 1 1 x\nnode 0 0\nnode",
 	}
 	for name, in := range cases {
 		if _, err := Decode(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: Decode accepted %q", name, in)
 		}
+	}
+}
+
+// untrustedCountInputs are traces whose node sections declare reference
+// counts the file does not back: negative, far beyond the data, and short
+// by a few. Each must be rejected with an error, without a panic and
+// without allocating the claimed count.
+var untrustedCountInputs = []struct{ name, in string }{
+	{"negative count", "trace 2 4 4 t\nnode 0 -1\n"},
+	{"huge count", "trace 2 4 4 t\nnode 0 2000000000\nr 100 0\n"},
+	{"short section", "trace 2 4 4 t\nnode 0 5\nr 100 0\n"},
+}
+
+func TestDecodeRejectsUntrustedCounts(t *testing.T) {
+	for _, c := range untrustedCountInputs {
+		t.Run(c.name, func(t *testing.T) {
+			if tr, err := Decode(strings.NewReader(c.in)); err == nil {
+				t.Fatalf("Decode accepted %q as %d node-0 refs", c.in, len(tr.Refs[0]))
+			}
+		})
 	}
 }
 
