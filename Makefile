@@ -88,7 +88,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkFig2FFT$$|BenchmarkHotPath$$|BenchmarkGridRow$$' -benchtime 3x -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkHotPathTiered$$' -benchtime 3x -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkRowBuffer$$' -benchmem -count 3 ./internal/mem/
-	$(GO) test -run '^$$' -bench 'BenchmarkEstimate$$|BenchmarkEstimateProfile$$' -benchmem -count 3 .
+	$(GO) test -run '^$$' -bench 'BenchmarkEstimate$$|BenchmarkEstimateProfile$$|BenchmarkEstimateRequest$$' -benchmem -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamGeneration$$' -count 3 .
 
 race:

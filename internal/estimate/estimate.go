@@ -22,6 +22,7 @@ package estimate
 
 import (
 	"errors"
+	"math"
 
 	"ascoma/internal/mem"
 	"ascoma/internal/model"
@@ -30,9 +31,18 @@ import (
 	"ascoma/internal/workload"
 )
 
-// maxNodes bounds the per-node scratch arrays Predict keeps on the stack
+// maxNodes bounds the per-node weight array Predict keeps on the stack
 // so the hot path stays allocation-free.
 const maxNodes = 64
+
+// numArchs sizes the per-node static cost table: one entry per
+// params.Arch, CC-NUMA through MIG-NUMA.
+const numArchs = int(params.MIGNUMA) + 1
+
+// unbounded is the pool size nodeCost is evaluated at for the static
+// table: no node's remote footprint or hot set can exceed it, so every
+// pool term is inert.
+const unbounded = math.MaxInt64
 
 // contendPct inflates the unloaded remote-fetch latency for queueing at
 // the bus, directory, banked memory, and network ports (calibrated
@@ -90,16 +100,32 @@ func (pr *Prediction) Terms(p *params.Params) model.Terms {
 // Estimator predicts headline stats for every architecture of one
 // workload under one parameter set. Predict is allocation-free and safe
 // for concurrent use; building the Estimator does the one-time profile
-// replay (memoized per generator) and the CC-NUMA baseline.
+// replay (memoized per generator), the tables Predict reads, and the
+// CC-NUMA baseline. Estimators returned by For are shared: never call
+// SetTiers on one.
 type Estimator struct {
 	prof *workload.Profile
 	p    params.Params
 
-	// Per-node class totals, precomputed from the profile.
-	sTot [maxNodes]int64 // remote L1 misses
-	cTot [maxNodes]int64 // cold block fetches
-	xTot [maxNodes]int64 // invalidation refetches
-	dTot [maxNodes]int64 // distinct remote pages
+	// Per-node class totals, precomputed from the profile; one entry per
+	// node.
+	sTot []int64 // remote L1 misses
+	cTot []int64 // cold block fetches
+	xTot []int64 // invalidation refetches
+	dTot []int64 // distinct remote pages
+	hot  []int64 // pages whose refetches reach the upgrade threshold
+
+	// Interval totals over every node; they depend on neither arch nor
+	// pressure.
+	faults     int64
+	homeMisses int64
+
+	// Latency-dependent tables, rebuilt whenever memAdj changes.
+	// fixed[i*nodes+n] is node n's interval-i cycles outside remote
+	// misses; static[n*numArchs+arch] is node n's nodeCost with the pool
+	// not binding (see binds).
+	fixed  []int64
+	static []archCost
 
 	baseline int64 // CC-NUMA execution time (pressure-independent)
 
@@ -111,24 +137,71 @@ type Estimator struct {
 
 // New builds an estimator for prof under p. The profile replay has
 // already happened (or is triggered memoized); New only precomputes
-// node totals and the CC-NUMA baseline.
+// node and interval totals, Predict's tables and the CC-NUMA baseline.
 func New(prof *workload.Profile, p params.Params) (*Estimator, error) {
 	if prof.Nodes > maxNodes {
 		return nil, errors.New("estimate: too many nodes")
 	}
-	e := &Estimator{prof: prof, p: p}
-	for n := 0; n < prof.Nodes; n++ {
+	nodes := prof.Nodes
+	intervals := len(prof.PerNode[0].Intervals)
+	e := &Estimator{
+		prof:   prof,
+		p:      p,
+		sTot:   make([]int64, nodes),
+		cTot:   make([]int64, nodes),
+		xTot:   make([]int64, nodes),
+		dTot:   make([]int64, nodes),
+		hot:    make([]int64, nodes),
+		fixed:  make([]int64, intervals*nodes),
+		static: make([]archCost, nodes*numArchs),
+	}
+	theta := int64(p.RefetchThreshold)
+	for n := 0; n < nodes; n++ {
 		np := &prof.PerNode[n]
 		e.dTot[n] = np.RemotePages
 		for _, c := range np.Classes {
 			e.sTot[n] += c.Pages * c.S
 			e.cTot[n] += c.Pages * c.C
 			e.xTot[n] += c.Pages * c.X
+			if c.F-c.C >= theta {
+				e.hot[n] += c.Pages
+			}
+		}
+		for i := range np.Intervals {
+			e.faults += np.Intervals[i].Faults
+			e.homeMisses += np.Intervals[i].HomeMisses
+		}
+	}
+	e.tabulate()
+	return e, nil
+}
+
+// tabulate rebuilds the latency-dependent tables and the CC-NUMA
+// baseline from the current memAdj.
+func (e *Estimator) tabulate() {
+	p := &e.p
+	prof := e.prof
+	nodes := prof.Nodes
+	tLocal := int64(p.BusCycles+p.LocalMemCycles) + e.memAdj
+	tRemote := int64(p.RemoteMemCycles()) + e.memAdj
+	tFault := int64(p.PageFaultCycles)
+	tL1 := int64(p.L1HitCycles)
+	intervals := len(prof.PerNode[0].Intervals)
+	for n := 0; n < nodes; n++ {
+		for i := 0; i < intervals; i++ {
+			iv := &prof.PerNode[n].Intervals[i]
+			e.fixed[i*nodes+n] = iv.Think +
+				iv.L1Hits*tL1 +
+				(iv.HomeMisses+iv.PrivMisses)*tLocal +
+				iv.Faults*tFault +
+				iv.LockOps*tRemote
+		}
+		for a := 0; a < numArchs; a++ {
+			e.static[n*numArchs+a] = e.nodeCost(params.Arch(a), n, unbounded, unbounded, unbounded)
 		}
 	}
 	base := e.Predict(params.CCNUMA, 50)
 	e.baseline = base.ExecTime
-	return e, nil
 }
 
 // Profile returns the profile the estimator was built from.
@@ -143,8 +216,7 @@ func (e *Estimator) Profile() *workload.Profile { return e.prof }
 // PolicyNone restores the flat model exactly.
 func (e *Estimator) SetTiers(specs []mem.TierSpec, pol mem.Policy) {
 	e.memAdj = TierMemAdjust(&e.p, specs, pol)
-	base := e.Predict(params.CCNUMA, 50)
-	e.baseline = base.ExecTime
+	e.tabulate()
 }
 
 // TierMemAdjust returns the shift in effective local-memory latency a
@@ -222,18 +294,15 @@ type archCost struct {
 
 // Predict returns the headline prediction for one (arch, pressure) cell.
 // It is the estimator's hot path: called once per grid cell during
-// screening, so it must not allocate.
+// screening and per cell of every estimate request, so it must not
+// allocate. A node whose pool does not bind at this pressure reads its
+// cost from the static table instead of walking its page classes.
 //
 //ascoma:hotpath
 func (e *Estimator) Predict(arch params.Arch, pressure int) Prediction {
 	p := &e.p
 	prof := e.prof
 	nodes := prof.Nodes
-
-	tLocal := int64(p.BusCycles+p.LocalMemCycles) + e.memAdj
-	tRemote := int64(p.RemoteMemCycles()) + e.memAdj
-	tFault := int64(p.PageFaultCycles)
-	tL1 := int64(p.L1HitCycles)
 
 	total := e.TotalPages(pressure)
 	resident := int64(prof.HomePagesPerNode + prof.PrivatePagesPerNode)
@@ -251,9 +320,16 @@ func (e *Estimator) Predict(arch params.Arch, pressure int) Prediction {
 
 	var w [maxNodes]float64 // per-remote-miss weight, per node
 	var cost archCost
-	var homeMisses int64
 	for n := 0; n < nodes; n++ {
-		nc := e.nodeCost(arch, n, pool, cap, capMin)
+		var nc archCost
+		if e.binds(arch, n, pool, cap, capMin) {
+			nc = e.nodeCost(arch, n, pool, cap, capMin)
+		} else {
+			nc = e.static[n*numArchs+int(arch)]
+			if arch == params.MIGNUMA && nc.poolPages > pool {
+				nc.poolPages = pool // nodeCost's clamp on adopted pages
+			}
+		}
 		if e.sTot[n] > 0 {
 			w[n] = float64(nc.cycles) / float64(e.sTot[n])
 		}
@@ -266,14 +342,9 @@ func (e *Estimator) Predict(arch params.Arch, pressure int) Prediction {
 	intervals := len(prof.PerNode[0].Intervals)
 	for i := 0; i < intervals; i++ {
 		var worst int64
+		fixed := e.fixed[i*nodes : (i+1)*nodes]
 		for n := 0; n < nodes; n++ {
-			iv := &prof.PerNode[n].Intervals[i]
-			fixed := iv.Think +
-				iv.L1Hits*tL1 +
-				(iv.HomeMisses+iv.PrivMisses)*tLocal +
-				iv.Faults*tFault +
-				iv.LockOps*tRemote
-			t := fixed + int64(float64(iv.RemoteMisses)*w[n])
+			t := fixed[n] + int64(float64(prof.PerNode[n].Intervals[i].RemoteMisses)*w[n])
 			if t > worst {
 				worst = t
 			}
@@ -282,15 +353,7 @@ func (e *Estimator) Predict(arch params.Arch, pressure int) Prediction {
 	}
 	exec += prof.Barriers * int64(p.BarrierCycles)
 
-	var faults int64
-	for n := 0; n < nodes; n++ {
-		for i := range prof.PerNode[n].Intervals {
-			iv := &prof.PerNode[n].Intervals[i]
-			faults += iv.Faults
-			homeMisses += iv.HomeMisses
-		}
-	}
-	cost.misses[stats.Home] += homeMisses
+	cost.misses[stats.Home] += e.homeMisses
 	if cost.misses[stats.Home] < 0 {
 		cost.misses[stats.Home] = 0
 	}
@@ -306,7 +369,7 @@ func (e *Estimator) Predict(arch params.Arch, pressure int) Prediction {
 		Downgrades:  cost.downgrades,
 		RelocDenied: cost.denied,
 		Migrations:  cost.migrations,
-		PageFaults:  faults + cost.faults,
+		PageFaults:  e.faults + cost.faults,
 		RemotePages: cost.remotePages,
 		PoolPages:   cost.poolPages,
 		Insensitive: e.Insensitive(pressure),
@@ -333,6 +396,28 @@ func (a *archCost) add(b *archCost) {
 		a.poolPages = b.poolPages
 	}
 	a.remotePages += b.remotePages
+}
+
+// binds reports whether node n's pool terms are live for arch at this
+// pool size: S-COMA once its remote pages overflow the pool, AS-COMA once
+// they overflow the cap it allocates up to, and the hybrids once their hot
+// pages overflow capMin. CC-NUMA never binds; MIG-NUMA's only pool term
+// is the clamp on adopted pages, which Predict applies to the static
+// entry. An unbound node's nodeCost equals its static table entry, since
+// nodeCost at any pool that does not bind takes the same branches as at
+// an unbounded one.
+//
+//ascoma:hotpath
+func (e *Estimator) binds(arch params.Arch, n int, pool, cap, capMin int64) bool {
+	switch arch {
+	case params.SCOMA:
+		return e.dTot[n] > pool
+	case params.ASCOMA:
+		return e.dTot[n] > cap
+	case params.RNUMA, params.VCNUMA:
+		return e.hot[n] > capMin
+	}
+	return false
 }
 
 // nodeCost evaluates one node's page classes under one architecture.
@@ -370,11 +455,6 @@ func (e *Estimator) nodeCost(arch params.Arch, n int, pool, cap, capMin int64) a
 
 	case params.SCOMA:
 		d := np.RemotePages
-		phi := 1.0 // resident fraction
-		if d > pool {
-			phi = float64(pool) / float64(d)
-		}
-		_ = phi
 		occ := d
 		if occ > pool {
 			occ = pool
@@ -453,12 +533,7 @@ func (e *Estimator) nodeCost(arch params.Arch, n int, pool, cap, capMin int64) a
 		// life in S-COMA mode, the rest back in CC-NUMA mode refetching
 		// remotely. VC-NUMA's thrashing detector raises the threshold
 		// and roughly halves the churn.
-		var hot int64
-		for _, c := range np.Classes {
-			if c.F-c.C >= theta {
-				hot += c.Pages
-			}
-		}
+		hot := e.hot[n]
 		phi := 1.0
 		if hot > capMin {
 			phi = float64(capMin) / float64(hot)
@@ -653,11 +728,4 @@ func reuseAtLeast(np *workload.NodeProfile, w int64) float64 {
 		}
 	}
 	return total
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

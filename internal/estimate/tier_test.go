@@ -12,20 +12,10 @@ import (
 	"ascoma/internal/estimate"
 	"ascoma/internal/mem"
 	"ascoma/internal/params"
-	"ascoma/internal/workload"
 )
 
 func tierEstimator(t *testing.T) *estimate.Estimator {
-	t.Helper()
-	prof, err := workload.ProfileFor("radix", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := estimate.New(prof, params.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return est
+	return newEstimator(t, "radix", 8, nil, mem.PolicyNone)
 }
 
 func TestSetTiersNilIsIdentity(t *testing.T) {

@@ -5,36 +5,28 @@ import (
 
 	"ascoma"
 	"ascoma/internal/estimate"
-	"ascoma/internal/params"
-	"ascoma/internal/workload"
+	"ascoma/internal/mem"
 )
 
 // costOrder returns the indices of cells ordered most-expensive-first by
 // the analytical steady-state estimator (DESIGN.md §13). Dispatching the
 // predicted-longest simulations first keeps the runner pool busy to the
 // end of a grid instead of leaving one straggler running alone — the
-// classic LPT heuristic. The order itself is deterministic: estimators are
-// memoized per (workload, scale), a cell whose profile or estimator fails
-// costs 0 and runs last, and ties keep spec order (stable sort). Only the
-// dispatch order changes; grid results are still assembled in spec order,
-// so output bytes are identical whatever this returns.
+// classic LPT heuristic. Each cell is costed by the shared estimator for
+// its own workload, scale and tier configuration (estimate.For), so tiered
+// and row-buffer cells are ordered by tier-aware predictions. The order
+// itself is deterministic: a cell whose policy or estimator fails costs 0
+// and runs last, and ties keep spec order (stable sort). Only the dispatch
+// order changes; grid results are still assembled in spec order, so output
+// bytes are identical whatever this returns.
 func costOrder(cells []ascoma.Config) []int {
-	type profKey struct {
-		workload string
-		scale    int
-	}
-	ests := make(map[profKey]*estimate.Estimator)
 	cost := make([]int64, len(cells))
 	for i, cfg := range cells {
-		k := profKey{cfg.Workload, cfg.Scale}
-		est, seen := ests[k]
-		if !seen {
-			if prof, err := workload.ProfileFor(cfg.Workload, cfg.Scale); err == nil {
-				est, _ = estimate.New(prof, params.Default())
-			}
-			ests[k] = est // nil when the profile or estimator fails: cost 0
+		pol, err := mem.ParsePolicy(cfg.PagePolicy)
+		if err != nil {
+			continue
 		}
-		if est != nil {
+		if est, err := estimate.For(cfg.Workload, cfg.Scale, cfg.Tiers, pol); err == nil {
 			cost[i] = est.Predict(cfg.Arch, cfg.Pressure).ExecTime
 		}
 	}

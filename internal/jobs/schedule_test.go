@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
 	"ascoma"
 	"ascoma/internal/estimate"
+	"ascoma/internal/mem"
 	"ascoma/internal/params"
 	"ascoma/internal/runcache"
 	"ascoma/internal/stats"
@@ -61,6 +63,56 @@ func TestCostOrder(t *testing.T) {
 	}
 	if reflect.DeepEqual(order, []int{0, 1, 2}) {
 		t.Fatalf("cost order %v equals spec order; dispatch seeding is inert", order)
+	}
+}
+
+// TestCostOrderTiered checks that a tiered grid is ordered by tier-aware
+// predictions: a slow, mostly-NVM tier mix reorders fft and radix cells
+// relative to the flat model, and costOrder must follow the tiered order.
+func TestCostOrderTiered(t *testing.T) {
+	tiers, err := mem.ParseTiers("10:40:60,90:400:1200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := GridSpec{Apps: []string{"fft", "radix"}, Archs: []string{"CC-NUMA", "AS-COMA"},
+		Pressures: []int{10, 90}, Scale: 32, Tiers: tiers, PagePolicy: "closed"}
+	cells := gridCells(t, g)
+
+	// byCost orders the cells as costOrder must, from estimators built
+	// here rather than through the shared memo.
+	byCost := func(tiered bool) []int {
+		ests := map[string]*estimate.Estimator{}
+		cost := make([]int64, len(cells))
+		for i, cfg := range cells {
+			est := ests[cfg.Workload]
+			if est == nil {
+				prof, err := workload.ProfileFor(cfg.Workload, cfg.Scale)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if est, err = estimate.New(prof, params.Default()); err != nil {
+					t.Fatal(err)
+				}
+				if tiered {
+					est.SetTiers(tiers, mem.PolicyClosed)
+				}
+				ests[cfg.Workload] = est
+			}
+			cost[i] = est.Predict(cfg.Arch, cfg.Pressure).ExecTime
+		}
+		order := make([]int, len(cells))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool { return cost[order[a]] > cost[order[b]] })
+		return order
+	}
+	want, flat := byCost(true), byCost(false)
+	if reflect.DeepEqual(want, flat) {
+		t.Fatalf("tiered and flat orders agree (%v); pick a grid the tier mix reorders", want)
+	}
+	if got := costOrder(cells); !reflect.DeepEqual(got, want) {
+		t.Fatalf("costOrder = %v, want the tier-aware order %v (flat order %v)", got, want, flat)
 	}
 }
 

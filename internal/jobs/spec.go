@@ -16,10 +16,8 @@ import (
 	"ascoma"
 	"ascoma/internal/estimate"
 	"ascoma/internal/mem"
-	"ascoma/internal/params"
 	"ascoma/internal/report"
 	"ascoma/internal/runcache"
-	"ascoma/internal/workload"
 )
 
 // Validation bounds. The simulator itself tolerates almost anything — a
@@ -429,8 +427,9 @@ type EstimateSpec struct {
 	PagePolicy string            `json:"pagePolicy,omitempty"`
 }
 
-// Predictions validates the spec, builds (or reuses the memoized)
-// workload profile, and computes one prediction per grid cell.
+// Predictions validates the spec, fetches the shared estimator for its
+// workload, scale and tiers (estimate.For), and computes one prediction
+// per grid cell.
 func (e EstimateSpec) Predictions() ([]estimate.Prediction, error) {
 	if !slices.Contains(ascoma.Workloads(), e.Workload) {
 		return nil, badSpec("unknown workload %q (registered: %s)",
@@ -466,17 +465,12 @@ func (e EstimateSpec) Predictions() ([]estimate.Prediction, error) {
 		}
 		pressures = dedupeSorted(e.Pressures)
 	}
-	prof, err := workload.ProfileFor(e.Workload, e.Scale)
+	pol, _ := mem.ParsePolicy(e.PagePolicy) // validated above
+	est, err := estimate.For(e.Workload, e.Scale, e.Tiers, pol)
 	if err != nil {
+		// The workload name and scale passed validation, so the error
+		// says this workload cannot be profiled or modeled at this scale.
 		return nil, badSpec("%v", err)
-	}
-	est, err := estimate.New(prof, params.Default())
-	if err != nil {
-		return nil, fmt.Errorf("jobs: estimator for %s: %w", e.Workload, err)
-	}
-	if len(e.Tiers) > 0 || e.PagePolicy != "" {
-		pol, _ := mem.ParsePolicy(e.PagePolicy) // validated above
-		est.SetTiers(e.Tiers, pol)
 	}
 	preds := make([]estimate.Prediction, 0, len(archs)*len(pressures))
 	for _, arch := range archs {

@@ -118,7 +118,6 @@ func (m *Machine) recycle(sh shape, p *params.Params) {
 	m.nextSample = 0
 	m.nextEpoch = 0
 	m.fetchCount, m.fetchTotal, m.fwdCount, m.invCount = 0, 0, 0, 0
-	m.stageWait = [4]int64{}
 	m.tiered = false
 	m.tierPromotes, m.tierDemotes = 0, 0
 }

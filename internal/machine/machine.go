@@ -209,7 +209,6 @@ type Machine struct {
 	fetchTotal int64
 	fwdCount   int64
 	invCount   int64
-	stageWait  [4]int64 // bus, request net+dir, memory, reply net+bus
 
 	// Tiered-memory state: tiered is hoisted from the effective tier
 	// config so the access path pays one bool test; the promotion and
@@ -928,12 +927,9 @@ func (m *Machine) remoteFetch(nd *node, pte *vm.PTE, b addr.Block, write, haveDa
 	p := m.p
 	home := pte.Home
 	t := nd.bus.Transaction(now)
-	m.stageWait[0] += t - now - p.BusCycles
 	t += p.DSMProcCycles // requester's DSM engine issues the request
-	t0 := t
 	t = m.net.Send(nd.id, home, t)
 	t = m.nodes[home].dir.Acquire(t, p.DirCycles)
-	m.stageWait[1] += t - t0 - m.net.Latency(nd.id, home) - p.NetPortOccupancy - p.DirCycles
 
 	m.invHome, m.invDelay = home, 0
 	if m.rec != nil {
@@ -960,17 +956,13 @@ func (m *Machine) remoteFetch(nd *node, pte *vm.PTE, b addr.Block, write, haveDa
 		t = m.memAcquire(m.nodes[o], b, t, false)
 		t = m.net.Send(o, nd.id, t)
 	} else {
-		t1 := t
 		t = m.memAcquire(m.nodes[home], b, t, false)
-		m.stageWait[2] += t - t1 - p.LocalMemCycles
 		if m.invDelay > 0 {
 			// Sequential consistency: the write completes only after
 			// every sharer has acknowledged its invalidation.
 			t += m.invDelay
 		}
-		t2 := t
 		t = m.net.Send(home, nd.id, t)
-		m.stageWait[3] += t - t2 - m.net.Latency(home, nd.id) - p.NetPortOccupancy
 	}
 	t += p.DSMProcCycles // requester's DSM engine stages the reply
 	t = nd.bus.Transaction(t)

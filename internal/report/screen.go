@@ -20,10 +20,9 @@ import (
 
 	"ascoma"
 	"ascoma/internal/estimate"
+	"ascoma/internal/mem"
 	"ascoma/internal/obs"
-	"ascoma/internal/params"
 	"ascoma/internal/stats"
-	"ascoma/internal/workload"
 )
 
 // ScreenStats counts screening outcomes across figure renders. Share one
@@ -72,11 +71,7 @@ type screenPlan struct {
 // screening cannot help (estimator construction failed, or fewer than two
 // pressures are certified so there is nothing to fill).
 func planScreen(app string, o Options) *screenPlan {
-	prof, err := workload.ProfileFor(app, o.Scale)
-	if err != nil {
-		return nil
-	}
-	est, err := estimate.New(prof, params.Default())
+	est, err := estimate.For(app, o.Scale, nil, mem.PolicyNone) // screening runs only on flat memory
 	if err != nil {
 		return nil
 	}
