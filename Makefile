@@ -90,18 +90,22 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkRowBuffer$$' -benchmem -count 3 ./internal/mem/
 	$(GO) test -run '^$$' -bench 'BenchmarkEstimate$$|BenchmarkEstimateProfile$$|BenchmarkEstimateRequest$$' -benchmem -count 3 .
 	$(GO) test -run '^$$' -bench 'BenchmarkStreamGeneration$$' -count 3 .
+	$(GO) test -run '^$$' -bench 'BenchmarkKeyOf$$' -benchmem -count 3 ./internal/runcache/
+	$(GO) test -run '^$$' -bench 'BenchmarkRunWarm$$' -benchmem -count 3 ./internal/serve/
 
 race:
 	$(GO) test -race ./...
 
 # fuzz-smoke runs each fuzz target briefly over its seeded corpus plus a
 # few seconds of generated inputs — a CI-sized differential check that the
-# compiled workload streams still match the interpreted reference, and
-# that the reference-trace decoder never panics on outside input and
-# round-trips everything it accepts.
+# compiled workload streams still match the interpreted reference, that
+# the reference-trace decoder never panics on outside input and
+# round-trips everything it accepts, and that runcache's hand-appended
+# key preimage stays byte-identical to json.Marshal of the Config.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompiledMatchesInterpreted -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzDecodeTrace -fuzztime 10s ./internal/workload
+	$(GO) test -run '^$$' -fuzz FuzzKeyPreimage -fuzztime 10s ./internal/runcache
 
 clean:
 	$(GO) clean ./...

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -83,9 +84,13 @@ func main() {
 			*trace, rec.Events.Total(), epochLen(rec))
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(stats.Report(res.Machine)); err != nil {
+		var out bytes.Buffer
+		if err := json.Indent(&out, stats.AppendReport(nil, res.Machine), "", "  "); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		out.WriteByte('\n')
+		if _, err := out.WriteTo(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -10,7 +10,7 @@
 //	                          must not carry a `json:"-"` tag, and must be
 //	                          referenced by a serialization function below
 //	//ascoma:stats-serialize  on same-package functions that build the
-//	                          serialized views (Report, counterMap, ...)
+//	                          serialized views (AppendReport, counterValues, ...)
 //	//ascoma:stats-finalize T on functions (any package importing the
 //	                          stats types) that populate T at the end of a
 //	                          run; together they must cover every field of

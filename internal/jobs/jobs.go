@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 
 	"ascoma"
+	"ascoma/internal/jsonenc"
 	"ascoma/internal/obs"
 	"ascoma/internal/report"
 	"ascoma/internal/runcache"
@@ -72,21 +74,68 @@ type EpochEvent struct {
 	Series map[string][]int64 `json:"series"` // probe name -> one value per node
 }
 
-// RunResult is a run job's (and POST /api/v1/run's) result payload.
+// RunResult is a run job's (and POST /api/v1/run's) result payload. It
+// encodes as {"result": <report>, "samples": [...]}: the report in
+// stats.JSONReport's schema, the samples as encoding/json writes
+// ascoma.Sample, omitted when there are none.
 type RunResult struct {
-	Result  stats.JSONReport `json:"result"`
-	Samples []ascoma.Sample  `json:"samples,omitempty"`
+	Machine *stats.Machine
+	Samples []ascoma.Sample
 }
+
+// AppendJSON appends r's encoding to dst: the bytes encoding/json writes
+// for a struct of Result stats.JSONReport `json:"result"` and Samples
+// []ascoma.Sample `json:"samples,omitempty"`, without building the
+// report's maps.
+func (r RunResult) AppendJSON(dst []byte) []byte {
+	dst = stats.AppendReport(append(dst, `{"result":`...), r.Machine)
+	for i, s := range r.Samples {
+		sep := `,{"Time":`
+		if i == 0 {
+			sep = `,"samples":[{"Time":`
+		}
+		dst = strconv.AppendInt(append(dst, sep...), s.Time, 10)
+		dst = strconv.AppendInt(append(dst, `,"Threshold":`...), int64(s.Threshold), 10)
+		dst = strconv.AppendInt(append(dst, `,"FreePages":`...), int64(s.FreePages), 10)
+		dst = strconv.AppendInt(append(dst, `,"SComaPages":`...), int64(s.SComaPages), 10)
+		dst = strconv.AppendInt(append(dst, `,"Upgrades":`...), s.Upgrades, 10)
+		dst = strconv.AppendInt(append(dst, `,"Downgrades":`...), s.Downgrades, 10)
+		dst = strconv.AppendInt(append(dst, `,"Thrash":`...), s.Thrash, 10)
+		dst = strconv.AppendInt(append(dst, `,"KOverhead":`...), s.KOverhead, 10)
+		dst = append(dst, '}')
+	}
+	if len(r.Samples) > 0 {
+		dst = append(dst, ']')
+	}
+	return append(dst, '}')
+}
+
+// MarshalJSON encodes r through AppendJSON when it sits in a job Status.
+func (r RunResult) MarshalJSON() ([]byte, error) { return r.AppendJSON(nil), nil }
 
 // CellResult is one assembled grid cell. Grid results are always in spec
 // order (app-major, arch, then ascending pressure), independent of
-// completion order.
+// completion order. It encodes as {"arch", "workload", "pressure",
+// "result"}, the result in stats.JSONReport's schema.
 type CellResult struct {
-	Arch     string           `json:"arch"`
-	Workload string           `json:"workload"`
-	Pressure int              `json:"pressure"`
-	Result   stats.JSONReport `json:"result"`
+	Arch     string
+	Workload string
+	Pressure int
+	Machine  *stats.Machine
 }
+
+// AppendJSON appends c's encoding to dst, byte-identical to encoding/json
+// over the equivalent struct with a stats.JSONReport result.
+func (c CellResult) AppendJSON(dst []byte) []byte {
+	dst = jsonenc.AppendString(append(dst, `{"arch":`...), c.Arch)
+	dst = jsonenc.AppendString(append(dst, `,"workload":`...), c.Workload)
+	dst = strconv.AppendInt(append(dst, `,"pressure":`...), int64(c.Pressure), 10)
+	dst = stats.AppendReport(append(dst, `,"result":`...), c.Machine)
+	return append(dst, '}')
+}
+
+// MarshalJSON encodes c through AppendJSON.
+func (c CellResult) MarshalJSON() ([]byte, error) { return c.AppendJSON(nil), nil }
 
 // Status is a job snapshot — the GET /api/v1/jobs/{id} body. Result is
 // populated only in StateDone: a RunResult, a []CellResult, or the
@@ -479,7 +528,7 @@ func (m *Manager) runOne(j *Job, ctx context.Context, cfg ascoma.Config, epochIn
 		Index: 0, Arch: cfg.Arch.String(), Workload: cfg.Workload,
 		Pressure: cfg.Pressure, Done: 1, Total: 1, ExecTimeCycles: res.ExecTime,
 	}})
-	return RunResult{Result: stats.Report(res.Machine), Samples: res.Samples}, nil
+	return RunResult{Machine: res.Machine, Samples: res.Samples}, nil
 }
 
 // runGrid shards the cells across the runner pool, dispatching in the
@@ -511,7 +560,7 @@ func (m *Manager) runGrid(j *Job, ctx context.Context, cells []ascoma.Config) (a
 		}
 		results[i] = CellResult{
 			Arch: cfg.Arch.String(), Workload: cfg.Workload,
-			Pressure: cfg.Pressure, Result: stats.Report(res.Machine),
+			Pressure: cfg.Pressure, Machine: res.Machine,
 		}
 		j.mu.Lock()
 		j.cellsDone++

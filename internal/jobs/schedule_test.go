@@ -158,15 +158,22 @@ func TestSeededDispatchKeepsSpecOutput(t *testing.T) {
 		t.Errorf("single-slot completion order %v, want cost order %v", dispatched, want)
 	}
 
-	// Reference: the same cells, simulated one by one in spec order.
-	ref := make([]CellResult, len(cells))
+	// Reference: the same cells, simulated one by one in spec order and
+	// encoded by encoding/json over the stats.Report oracle.
+	type refCell struct {
+		Arch     string           `json:"arch"`
+		Workload string           `json:"workload"`
+		Pressure int              `json:"pressure"`
+		Result   stats.JSONReport `json:"result"`
+	}
+	ref := make([]refCell, len(cells))
 	runner := &runcache.Runner{Jobs: 1}
 	for i, cfg := range cells {
 		res, err := runner.Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref[i] = CellResult{
+		ref[i] = refCell{
 			Arch: cfg.Arch.String(), Workload: cfg.Workload,
 			Pressure: cfg.Pressure, Result: stats.Report(res.Machine),
 		}

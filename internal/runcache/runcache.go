@@ -4,10 +4,11 @@
 // panel, a repeated server request — need not be simulated twice.
 //
 // The cache is content-addressed: the key is a SHA-256 of the canonical
-// encoding of the Config (including the full Params block), so any change
-// to any knob produces a distinct key. Lookups go memory LRU -> optional
-// on-disk layer -> simulate, with singleflight deduplication so concurrent
-// requests for the same key run the simulation exactly once.
+// encoding of the Config (including the full Params block; see key.go),
+// so any change to any knob produces a distinct key. Lookups go memory
+// LRU -> optional on-disk layer -> simulate, with singleflight
+// deduplication so concurrent requests for the same key run the
+// simulation exactly once.
 //
 // Cached *ascoma.Result values are shared between callers and must be
 // treated as immutable.
@@ -16,9 +17,6 @@ package runcache
 import (
 	"container/list"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -28,30 +26,6 @@ import (
 	"ascoma"
 	"ascoma/internal/obs"
 )
-
-// keyVersion is folded into every key; bump it when the statistics schema
-// or the simulated model changes incompatibly, so stale disk entries from
-// an older binary can never satisfy a new request.
-const keyVersion = "ascoma-run-v1"
-
-// Key identifies one run configuration (hex SHA-256).
-type Key string
-
-// KeyOf returns the content address of cfg. Scale is normalized the way
-// Run normalizes it (0 and 1 are the same problem size). Two configs that
-// differ only in how they spell the default Params hash differently — a
-// conservative miss, never a wrong hit.
-func KeyOf(cfg ascoma.Config) (Key, error) {
-	if cfg.Scale < 1 {
-		cfg.Scale = 1
-	}
-	blob, err := json.Marshal(cfg)
-	if err != nil {
-		return "", fmt.Errorf("runcache: encode config: %w", err)
-	}
-	h := sha256.Sum256(append([]byte(keyVersion+"\n"), blob...))
-	return Key(hex.EncodeToString(h[:])), nil
-}
 
 // Stats is a snapshot of the cache's counters.
 type Stats struct {
@@ -400,4 +374,3 @@ func (c *Cache) store(key Key, res *ascoma.Result) {
 		delete(c.entries, tail.Value.(*lruEntry).key)
 	}
 }
-

@@ -25,7 +25,6 @@ import (
 	"ascoma/internal/obs"
 	"ascoma/internal/report"
 	"ascoma/internal/runcache"
-	"ascoma/internal/stats"
 )
 
 // StatusClientClosedRequest is the non-standard (nginx-convention) status
@@ -226,7 +225,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.runSeconds.Observe(elapsed.Seconds())
 
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(jobs.RunResult{Result: stats.Report(res.Machine), Samples: res.Samples}); err != nil {
+	// Sized for the report (~600 B plus ~520 B a node) and its samples, so
+	// the body is appended into one allocation.
+	buf := make([]byte, 0, 1024+576*len(res.Nodes)+160*len(res.Samples))
+	body := jobs.RunResult{Machine: res.Machine, Samples: res.Samples}.AppendJSON(buf)
+	if _, err := w.Write(append(body, '\n')); err != nil {
 		log.Printf("run response: %v", err)
 	}
 }

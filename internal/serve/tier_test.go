@@ -33,6 +33,35 @@ func TestRunEndpointTiered(t *testing.T) {
 	}
 }
 
+// TestRunEndpointPolicyNoneHits: "none" and "" select the same model, so a
+// "none" request after a "" one is a memory hit with the same body.
+func TestRunEndpointPolicyNoneHits(t *testing.T) {
+	s, ts := newTestServer(t)
+	post := func(policy string) []byte {
+		resp, err := http.Post(ts.URL+"/api/v1/run", "application/json",
+			strings.NewReader(`{"arch":"AS-COMA","workload":"uniform","pressure":70,"scale":32,"pagePolicy":"`+policy+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("run with pagePolicy %q: %d %s", policy, resp.StatusCode, body)
+		}
+		return body
+	}
+	cold := post("")
+	before := s.cache.Stats()
+	warm := post("none")
+	after := s.cache.Stats()
+	if after.Sims != before.Sims || after.MemHits != before.MemHits+1 {
+		t.Errorf(`pagePolicy "none" after "" was not a memory hit: before %+v, after %+v`, before, after)
+	}
+	if string(warm) != string(cold) {
+		t.Error(`pagePolicy "none" answered a different body than ""`)
+	}
+}
+
 func TestRunEndpointTierValidation(t *testing.T) {
 	_, ts := newTestServer(t)
 	for _, body := range []string{

@@ -70,9 +70,9 @@ func (c MissCat) String() string {
 //
 // Every field must be exported and reach the flattened JSON report — the
 // golden checksums hash json.Marshal of this struct, and downstream tooling
-// reads the name-keyed view built by counterMap/Report in json.go. Add a
-// field here and ascoma-vet (statsintegrity) fails until it appears there
-// too.
+// reads the name-keyed view written by counterValues/AppendReport in
+// json.go. Add a field here and ascoma-vet (statsintegrity) fails until it
+// appears there too.
 //
 //ascoma:stats
 type Node struct {

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -135,5 +136,36 @@ func TestJSONReport(t *testing.T) {
 	}
 	if len(r.Nodes) != 2 || r.Nodes[0].Counters["upgrades"] != 3 {
 		t.Error("per-node view wrong")
+	}
+}
+
+// TestAppendReportMatchesEncodingJSON holds the hand-written encoder to
+// encoding/json over the Report oracle on synthetic machines, including
+// the node-less edge and names that need escaping.
+func TestAppendReportMatchesEncodingJSON(t *testing.T) {
+	full := NewMachine(3)
+	full.Arch, full.Workload, full.Pressure, full.ExecTime = "AS-COMA", "radix", 70, 1234
+	full.RemotePages, full.RelocatedPages = 9, -2
+	for i := range full.Nodes {
+		n := &full.Nodes[i]
+		n.FinishTime = int64(1000 + i)
+		for c := range n.Time {
+			n.Time[c] = int64(i*10 + c + 1)
+		}
+		for c := range n.Misses {
+			n.Misses[c] = int64(i*100 + c)
+		}
+		n.SharedRefs, n.Upgrades, n.RemotePagesSeen, n.Writebacks = int64(i), 3, 1<<40, -7
+	}
+	escaped := NewMachine(1)
+	escaped.Arch, escaped.Workload = `<b>&"x"`, "naïve\n \xff"
+	for _, m := range []*Machine{full, escaped, {}, NewMachine(0)} {
+		want, err := json.Marshal(Report(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendReport([]byte("prefix"), m); string(got) != "prefix"+string(want) {
+			t.Errorf("AppendReport differs from encoding/json:\ngot  %s\nwant prefix%s", got, want)
+		}
 	}
 }

@@ -43,6 +43,24 @@ func TestRuncacheKeysMatchSeed(t *testing.T) {
 			ascoma.Config{Arch: ascoma.SCOMA, Workload: "barnes", Pressure: 10, Scale: 8},
 			"86652d23f7b23e69c938fd5b010ec867a2fa0f29c4043f64c22eed73b555b7fd",
 		},
+		// Captured from the encoding/json preimage before KeyOf appended
+		// its preimage by hand: tiers, a page policy, explicit Params and
+		// the optional scalars must all hash as they always did.
+		{
+			ascoma.Config{Arch: ascoma.ASCOMA, Workload: "radix", Pressure: 70, Scale: 8,
+				Tiers:      []ascoma.TierSpec{{CapacityPct: 30, ReadCycles: 40, WriteCycles: 60}, {CapacityPct: 70, ReadCycles: 120, WriteCycles: 300}},
+				PagePolicy: "hybrid"},
+			"7844181c2a1aae0e75170bd4d3d76f78b0c2cf387c19ebab9af2e564682ea853",
+		},
+		{
+			ascoma.Config{Arch: ascoma.SCOMA, Workload: "fft", Pressure: 30, Scale: 4, PagePolicy: "open"},
+			"95f2d1da967bde8a28721767f529a51c2a2336c26a2e85ba28273114a643c69e",
+		},
+		{
+			ascoma.Config{Arch: ascoma.RNUMA, Workload: "lu", Pressure: 90, Scale: 4,
+				Params: ascoma.DefaultParams(), Quantum: 200, SampleInterval: 5000},
+			"93788fbfab6461384e5d878ac4d74dcc4ff3723bb952390081b02e66afe91e42",
+		},
 	}
 	for _, pin := range pins {
 		got, err := runcache.KeyOf(pin.cfg)
@@ -50,7 +68,7 @@ func TestRuncacheKeysMatchSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got != pin.want {
-			t.Errorf("%v/%s@%d: key %s, want seed key %s (a nil-tier config must hash identically to the seed)",
+			t.Errorf("%v/%s@%d: key %s, want pinned key %s (keys must never move: existing disk caches would go cold)",
 				pin.cfg.Arch, pin.cfg.Workload, pin.cfg.Pressure, got, pin.want)
 		}
 	}
